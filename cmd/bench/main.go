@@ -170,14 +170,15 @@ func workloads(profiled bool) ([]workload, error) {
 		})
 	}
 
-	// Checkpointed exploration: the same exhaustive searches with a
-	// parked-runner budget (explore.Options.Checkpoints), which trades
-	// prefix replay for suspended runners. Checkpointing requires the
-	// state cache (parks happen at cache cuts), so the explore/* variant
-	// here is cache-only reduction and the explore-por/* variant is the
-	// full reduced stack. The coast-mode entries above keep their pinned
-	// names and configs so trajectories stay comparable across BENCH
-	// files.
+	// Checkpointed exploration: the same exhaustive searches with
+	// snapshot positioning on (explore.Options.Checkpoints > 0; the 4 is
+	// only an on switch, kept so the row names stay comparable across
+	// BENCH files), which fast-forwards each run to its deepest branch
+	// snapshot instead of replaying the prefix under strategy control.
+	// Snapshots need the state cache, so the explore/* variant here is
+	// cache-only reduction and the explore-por/* variant is the full
+	// reduced stack. The coast-mode entries above keep their pinned
+	// names and configs for the same reason.
 	for _, prog := range []string{"philosophers", "account"} {
 		pb, err := body(prog)
 		if err != nil {

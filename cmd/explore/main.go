@@ -46,7 +46,7 @@ func main() {
 	por := flag.Bool("por", false, "enable dynamic partial-order reduction (implies -sleepsets)")
 	stateCache := flag.Bool("statecache", false, "enable canonical-state caching")
 	cacheSize := flag.Int("statecachesize", 0, "state-cache entries per worker (0 = default)")
-	checkpoints := flag.Int("checkpoints", 0, "parked-runner checkpoint budget per worker (0 = off; needs -statecache)")
+	checkpoints := flag.Int("checkpoints", 0, "snapshot positioning (any value > 0 turns it on; needs -statecache)")
 	timeouts := flag.Bool("timeouts", false, "explore timer expirations too")
 	stopFirst := flag.Bool("first", true, "stop at first bug")
 	workers := flag.Int("workers", 0, "parallel search workers (0 = all cores, 1 = deterministic serial)")
@@ -105,7 +105,7 @@ type cliConfig struct {
 	save, replayPath    string
 	// profiled turns on pprof phase labels: when a CPU profile is being
 	// collected the driver tags its samples with the phase vocabulary
-	// documented in DESIGN.md (position/drive/park/abandon/record).
+	// documented in DESIGN.md (position/drive/record).
 	profiled bool
 }
 
@@ -141,6 +141,15 @@ func parseParams(s string) (repository.Params, error) {
 }
 
 func run(cfg cliConfig) error {
+	// -checkpoints is an on switch for snapshot positioning, which hashes
+	// state and so only runs under the state cache; reject the values
+	// that would otherwise be silently ignored.
+	if cfg.checkpoints < 0 {
+		return fmt.Errorf("usage: -checkpoints %d is negative (0 = off, > 0 = on)", cfg.checkpoints)
+	}
+	if cfg.checkpoints > 0 && !cfg.stateCache {
+		return fmt.Errorf("usage: -checkpoints %d needs -statecache", cfg.checkpoints)
+	}
 	prog, err := repository.Get(cfg.prog)
 	if err != nil {
 		return err

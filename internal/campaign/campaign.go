@@ -56,12 +56,12 @@ type Config struct {
 	Budget int `json:"budget"`
 	// MaxSteps bounds each individual run (0 = DefaultMaxSteps).
 	MaxSteps int64 `json:"max_steps,omitempty"`
-	// Checkpoints is the parked-runner checkpoint budget per explore
-	// worker (see explore.Options.Checkpoints); only the explore-por
-	// finder consumes it. 0 = off, which keeps fixed-seed stores
-	// byte-identical with pre-checkpoint campaigns — checkpointing
-	// changes how the reduced DFS revisits branch points, never which
-	// schedules, bugs, or first-bug indices a cell reports.
+	// Checkpoints turns on snapshot positioning for the explore-por
+	// finder when > 0 (see explore.Options.Checkpoints; the number
+	// itself is ignored). 0 = off, and omitempty keeps fixed-seed
+	// stores byte-identical with campaigns that never set it —
+	// positioning changes how the reduced DFS reaches branch points,
+	// never which schedules, bugs, or first-bug indices a cell reports.
 	Checkpoints int `json:"checkpoints,omitempty"`
 	// VariableBound and ThreadBound override the bounds the explore-vb
 	// and explore-tb finders search under (0 = the finder defaults,

@@ -10,24 +10,23 @@ import (
 	"mtbench/internal/repository"
 )
 
-// TestCheckpointedEquivalence pins the frontier-positioning contract
+// TestCheckpointedEquivalence pins the snapshot-positioning contract
 // over the whole program repository. Serially the contract is exact:
-// checkpointed exploration (DPOR + state cache + branch snapshots +
-// parked runners) must visit exactly the tree the coast-mode reduced
-// search visits — same schedule count, same exhaustion, same
-// deduplicated bug set, same novel-step total — because positioning
+// checkpointed exploration (DPOR + state cache + branch snapshots)
+// must visit exactly the tree the coast-mode reduced search visits —
+// same schedule count, same exhaustion, same deduplicated bug set,
+// same novel-step total, same outcome histogram — because positioning
 // only changes how a run reaches its decision point, never which
-// decisions the DFS enumerates. The one intended serial difference is
-// the replay tax: the checkpointed search must never replay more steps
-// than coast mode, and on the benchmark gate program it must replay
-// strictly fewer while reporting snapshot fast-forwards in the stats
-// (and, with the always-park threshold, parked runs in the outcome
-// histogram).
+// decisions the DFS enumerates or how the run ends. The one intended
+// serial difference is the replay tax: the checkpointed search must
+// never replay more steps than coast mode, and on the benchmark gate
+// program it must replay strictly fewer while reporting snapshot
+// fast-forwards in the stats.
 //
 // With Workers: 8 the per-worker state caches see different state
-// sequences depending on shard-donation timing — which parking shifts,
-// exactly as coast-mode donation timing already varies — so schedule
-// counts are not comparable across modes (TestReducedEquivalence pins
+// sequences depending on shard-donation timing — which positioning
+// shifts, exactly as coast-mode donation timing already varies — so
+// schedule counts are not comparable across modes (TestReducedEquivalence pins
 // the parallel bound against the full tree instead). The parallel
 // checkpointed contract is the soundness half: when the search
 // exhausts, it finds exactly the serial bug set, and its outcome
@@ -87,6 +86,9 @@ func TestCheckpointedEquivalence(t *testing.T) {
 			if got := bugKeys(ck); !reflect.DeepEqual(got, baseBugs) {
 				t.Errorf("%s: bug sets differ\n  coast:        %v\n  checkpointed: %v", label, baseBugs, got)
 			}
+			if !reflect.DeepEqual(ck.Outcomes, base.Outcomes) {
+				t.Errorf("%s: outcome histograms differ\n  coast:        %v\n  checkpointed: %v", label, base.Outcomes, ck.Outcomes)
+			}
 			if ck.Stats.ReplayedSteps > base.Stats.ReplayedSteps {
 				t.Errorf("%s: checkpointing raised the replay tax: %d vs coast %d",
 					label, ck.Stats.ReplayedSteps, base.Stats.ReplayedSteps)
@@ -104,33 +106,6 @@ func TestCheckpointedEquivalence(t *testing.T) {
 					t.Errorf("%s: no snapshot fast-forwards recorded; stats: %+v", label, ck.Stats)
 				}
 			}
-		}
-
-		// Always-park variant: ParkTailThreshold < 0 restores the
-		// park-every-cut disposal, which must still leave the tree shape,
-		// bug set and novel-step total untouched while putting parked
-		// runs back in the histogram.
-		ap := Explore(Options{
-			MaxSchedules: budget, MaxSteps: maxSteps, Workers: 1,
-			DPOR: true, StateCache: true, Checkpoints: 4, ParkTailThreshold: -1,
-		}, body)
-		label := prog.Name + "/checkpoints=4/always-park"
-		if ap.Err != nil {
-			t.Fatalf("%s: %v", label, ap.Err)
-		}
-		assertConservation(t, label, ap)
-		if ap.Schedules != base.Schedules || ap.Exhausted != base.Exhausted {
-			t.Errorf("%s: tree shape changed: %d schedules (exhausted=%v) vs coast %d (%v)",
-				label, ap.Schedules, ap.Exhausted, base.Schedules, base.Exhausted)
-		}
-		if got := bugKeys(ap); !reflect.DeepEqual(got, baseBugs) {
-			t.Errorf("%s: bug sets differ\n  coast:        %v\n  checkpointed: %v", label, baseBugs, got)
-		}
-		if ap.Stats.NovelSteps != base.Stats.NovelSteps {
-			t.Errorf("%s: novel steps differ: %d vs coast %d", label, ap.Stats.NovelSteps, base.Stats.NovelSteps)
-		}
-		if prog.Name == "philosophers" && ap.Outcomes["parked:"] == 0 {
-			t.Errorf("%s: no parked runs recorded; outcomes: %v", label, ap.Outcomes)
 		}
 	}
 }
@@ -187,8 +162,8 @@ func TestCheckpointConservation(t *testing.T) {
 }
 
 // leakModes is the mode matrix the goroutine-leak sweep drives: every
-// reduction configuration, with and without parked-runner checkpoints
-// where the state cache permits them, at both worker counts.
+// reduction configuration, with and without snapshot positioning where
+// the state cache permits it, at both worker counts.
 var leakModes = []struct {
 	name string
 	set  func(*Options)
@@ -209,13 +184,12 @@ var leakModes = []struct {
 // TestExploreNoGoroutineLeak sweeps every explore mode over the whole
 // repository twice and checks the process goroutine count returns to
 // its post-warmup baseline. The first sweep is warmup: worker kits,
-// pooled runners and their parked virtual threads are retained by
-// design (that is what makes repeated exploration cheap), and the
+// pooled runners and their idle virtual-thread goroutines are retained
+// by design (that is what makes repeated exploration cheap), and the
 // retained population reaches steady state once every program has run
 // in every mode. The second sweep must then add nothing — in
-// particular, every runner parked as a checkpoint and later evicted or
-// abandoned at shard end must have returned its threads to its pool
-// rather than leaking them.
+// particular, every fast-forwarded or diverged run must have returned
+// its threads to its runner's pool rather than leaking them.
 func TestExploreNoGoroutineLeak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-repository exploration sweep in -short mode")

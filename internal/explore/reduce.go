@@ -86,31 +86,30 @@ type Stats struct {
 	// ReplayedSteps counts scheduler steps spent re-establishing
 	// already-known state: schedule-prefix and path-replay decisions,
 	// plus the coasted tail steps below state-cache cuts. This is the
-	// replay tax DFS pays for statelessness — the quantity checkpointed
-	// exploration (Options.Checkpoints) removes.
+	// replay tax DFS pays for statelessness — the quantity snapshot
+	// positioning (Options.Checkpoints) moves into RestoredSteps.
 	ReplayedSteps int `json:"replayed_steps"`
 	// NovelSteps counts decisions taken at fresh frontier nodes — the
 	// steps that visit new state.
 	NovelSteps int `json:"novel_steps"`
-	// CheckpointHits counts schedules positioned from retained state —
-	// a parked runner resumed, or a branch snapshot fast-forwarded
-	// (see Options.Checkpoints) — instead of replayed from the root
-	// under full strategy control; CheckpointMisses counts the rest.
-	// Every schedule is exactly one or the other, so hits + misses ==
+	// CheckpointHits counts schedules positioned from a branch snapshot
+	// (see Options.Checkpoints) instead of replayed from the root under
+	// full strategy control; CheckpointMisses counts the rest. Every
+	// schedule is exactly one or the other, so hits + misses ==
 	// schedules executed.
 	CheckpointHits   int `json:"checkpoint_hits"`
 	CheckpointMisses int `json:"checkpoint_misses"`
-	// SnapshotRestores counts the checkpoint hits served by a branch
-	// snapshot (sched fast-forward + digest verify) rather than a
-	// parked-runner resume.
+	// SnapshotRestores counts the schedules restored from a branch
+	// snapshot (sched fast-forward + digest verify). Snapshots are the
+	// only positioning path, so it always equals CheckpointHits; both
+	// names stay because they are pinned JSON counters.
 	SnapshotRestores int `json:"snapshot_restores"`
 	// RestoredSteps counts scheduler steps positioning skipped paying
-	// full price for: the decisions a resumed parked run had already
-	// consumed, plus the decisions a fast-forward replayed without
+	// full price for: the decisions a fast-forward replayed without
 	// strategy round trips or listener fan-out.
 	RestoredSteps int `json:"restored_steps"`
-	// TotalSteps counts every scheduler step of every schedule
-	// (including steps of runs parked at cuts). The step conservation
+	// TotalSteps counts every scheduler step of every schedule,
+	// including fast-forwarded and coasted ones. The step conservation
 	// law — ReplayedSteps + NovelSteps + RestoredSteps == TotalSteps —
 	// holds for every healthy exploration and is pinned repo-wide by
 	// TestCheckpointConservation.
@@ -224,11 +223,11 @@ func (sh *stateHasher) slot(obj uint32) *objSlot {
 	return sl
 }
 
-// hasherSnap is a frozen copy of a stateHasher, taken when a run is
-// parked as a checkpoint: resuming the run later must continue folding
-// events onto exactly the chains the parked prefix built, even though
-// the (shared, per-worker) hasher has been reset and reused by other
-// runs in between.
+// hasherSnap is a frozen copy of a stateHasher, taken with a branch
+// snapshot: a run fast-forwarded to the branch must continue folding
+// events onto exactly the chains the prefix built, even though the
+// (shared, per-worker) hasher has been reset and reused by other runs
+// in between.
 type hasherSnap struct {
 	chains []uint64
 	objK   []uint32
@@ -257,12 +256,6 @@ func (sh *stateHasher) snapshotInto(s *hasherSnap) {
 			s.objR = append(s.objR, sl.rh)
 		}
 	}
-}
-
-func (sh *stateHasher) snapshot() *hasherSnap {
-	s := &hasherSnap{}
-	sh.snapshotInto(s)
-	return s
 }
 
 func (sh *stateHasher) restore(s *hasherSnap) {

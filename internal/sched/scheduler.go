@@ -34,6 +34,7 @@ import (
 	"slices"
 	"strconv"
 	"time"
+	"unsafe"
 
 	"mtbench/internal/core"
 	"mtbench/internal/instrument"
@@ -120,21 +121,12 @@ func Run(cfg Config, body func(t core.T)) *core.Result {
 // is single-threaded — one run at a time — and a run through a reused
 // Runner is byte-identical to one through a fresh scheduler.
 //
-// Beyond run-to-completion (Run), a Runner supports a parked
-// lifecycle: Start drives a run until it either finishes or the
-// strategy returns ParkID, in which case the run suspends with every
-// virtual thread blocked on its resume channel; Resume continues a
-// parked run from the exact decision point it parked at, and Abandon
-// tears a parked run down, unwinding the live threads back into the
-// free pool. A parked Runner holds its threads (and their goroutines)
-// but consumes no CPU.
-//
 // Ownership caveat: when Config.RecordSchedule is set, the returned
 // Result.Schedule aliases the Runner's internal buffer and is only
 // valid until the next run; callers that retain it (or retain the
 // Result) across runs must clone it first. The package-level Run has
 // no such caveat since its Runner is never reused. Results returned by
-// Start/Resume are pooled more aggressively: the Result itself and its
+// Start are pooled more aggressively: the Result itself and its
 // FinishOrder alias per-Runner buffers reused by the next run.
 type Runner struct {
 	s *scheduler
@@ -146,20 +138,15 @@ type Runner struct {
 func NewRunner() *Runner {
 	return &Runner{s: &scheduler{
 		parked:  make(chan *thread),
-		runDone: make(chan runSig),
+		runDone: make(chan struct{}),
 	}}
 }
 
 // Run executes body under cfg to completion, reusing the Runner's
 // pooled state. See Runner for the Result.Schedule ownership caveat;
-// everything else in the Result is valid indefinitely. Run panics if
-// the strategy parks the run — parking strategies must be driven
-// through Start/Resume/Abandon.
+// everything else in the Result is valid indefinitely.
 func (r *Runner) Run(cfg Config, body func(t core.T)) *core.Result {
 	p := r.Start(cfg, body)
-	if p == nil {
-		panic("sched: strategy parked a run driven by Run; use Start/Resume/Abandon")
-	}
 	// Start's Result is pooled (overwritten by the next run); Run's
 	// contract is a caller-owned Result, so unpool it here.
 	res := new(core.Result)
@@ -170,19 +157,15 @@ func (r *Runner) Run(cfg Config, body func(t core.T)) *core.Result {
 	return res
 }
 
-// Start begins a controlled run and drives it until it completes or
-// parks. It returns the run's Result, or nil when the strategy parked
-// the run (Parked reports true until Resume or Abandon). The returned
-// Result and its FinishOrder (and Schedule, under RecordSchedule)
-// alias per-Runner buffers: they are valid only until the next
-// Start/Resume/Run on this Runner and must be cloned to be retained.
+// Start executes a controlled run to completion and returns its
+// Result in the Runner's pooled slot. The returned Result and its
+// FinishOrder (and Schedule, under RecordSchedule) alias per-Runner
+// buffers: they are valid only until the next Start/Run on this Runner
+// and must be cloned to be retained.
 func (r *Runner) Start(cfg Config, body func(t core.T)) *core.Result {
 	s := r.s
 	if s.closed {
 		panic("sched: Start on a closed Runner")
-	}
-	if s.parkedRun {
-		panic("sched: Start on a Runner holding a parked run (Resume or Abandon it first)")
 	}
 	if s.running {
 		panic("sched: Runner used for two runs at once")
@@ -199,53 +182,14 @@ func (r *Runner) Start(cfg Config, body func(t core.T)) *core.Result {
 	return s.drive()
 }
 
-// Resume continues a parked run from the decision point it parked at.
-// The interrupted decision is re-offered to the strategy (same
-// Choice.Step), so park+resume is invisible to the decision sequence.
-// Like Start, Resume returns nil if the run parks again; the returned
-// Result has Start's pooled-ownership caveat.
-func (r *Runner) Resume() *core.Result {
-	s := r.s
-	if !s.parkedRun {
-		panic("sched: Resume on a Runner with no parked run")
-	}
-	s.parkedRun = false
-	return s.drive()
-}
-
-// Parked reports whether the Runner holds a parked run.
-func (r *Runner) Parked() bool { return r.s.parkedRun }
-
-// Abandon tears down a parked run without completing it: every live
-// virtual thread is unwound via the abort handshake and returned to
-// the Runner's free pool, exactly as at the end of a completed run, so
-// an abandoned run leaks no goroutines. The run produces no Result and
-// is not reported to RunObserver EndRun hooks. Abandon on a Runner
-// with no parked run is a no-op.
-func (r *Runner) Abandon() {
-	s := r.s
-	if !s.parkedRun {
-		return
-	}
-	s.parkedRun = false
-	s.teardown()
-	s.free = append(s.free, s.threads...)
-	s.threads = s.threads[:0]
-	s.running = false
-}
-
-// Close releases the Runner's pooled goroutines, abandoning a parked
-// run first if one is suspended. It is a no-op on a Runner whose last
-// run panicked mid-flight (the pool is unrecoverable then; the
-// goroutines are leaked exactly as a fresh-scheduler panic leaked
-// them).
+// Close releases the Runner's pooled goroutines. It is a no-op on a
+// Runner whose last run panicked mid-flight (the pool is
+// unrecoverable then; the goroutines are leaked exactly as a
+// fresh-scheduler panic leaked them).
 func (r *Runner) Close() {
 	s := r.s
 	if s.closed {
 		return
-	}
-	if s.parkedRun {
-		r.Abandon()
 	}
 	s.closed = true
 	if s.running || len(s.threads) > 0 {
@@ -312,29 +256,6 @@ type resumeMsg struct {
 	quit  bool
 }
 
-// runSig is the one-per-suspension signal a virtual thread sends the
-// driver on runDone: the run either finished for good (sigOver) or
-// parked at a decision point with every thread waiting on its resume
-// channel (sigParked).
-type runSig uint8
-
-const (
-	sigOver runSig = iota
-	sigParked
-)
-
-// stepStatus classifies a scheduling decision's outcome for the
-// goroutine that took it: hand control to the returned thread
-// (stepGo), the run is finished (stepOver), or the strategy parked the
-// run without consuming the decision (stepParked).
-type stepStatus uint8
-
-const (
-	stepGo stepStatus = iota
-	stepOver
-	stepParked
-)
-
 // engineBug is the panic payload for scheduler-internal invariant
 // violations (a strategy picking a non-runnable thread, idling with no
 // sleeper). Scheduling decisions execute on virtual-thread goroutines
@@ -352,21 +273,43 @@ func (e engineBug) Error() string { return e.msg }
 // value for callers that cannot rely on runBody's recover (the driver
 // at kickoff, and finishHandoff, which runs inside runBody's deferred
 // function after recover has already been consumed).
-func (s *scheduler) stepSafe() (next *thread, st stepStatus, bug *engineBug) {
+func (s *scheduler) stepSafe() (next *thread, bug *engineBug) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			eb, ok := rec.(engineBug)
 			if !ok {
 				panic(rec)
 			}
-			bug, st = &eb, stepOver
+			bug = &eb
 		}
 	}()
-	next, st = s.step()
+	next = s.step()
 	return
 }
 
+// cacheLine is the unit the records a scheduling step writes are
+// padded to. Parallel exploration drives one Runner per worker; when
+// two workers' thread records or handoff channels share a cache line,
+// every step on one worker invalidates the line under the other. The
+// records of Runners built side by side at start-up do interleave: on
+// a 2-CPU VM, 2-worker DPOR exhaustion of 4-philosopher philosophers
+// ran about 10% slower unpadded.
+const cacheLine = 64
+
+// readySlots sizes each thread's handoff channel. A buffered channel's
+// buffer is allocated inline after the runtime's 96-byte header, so 16
+// two-byte slots make the channel a 128-byte, whole-cache-line
+// allocation. The buffer holds at most one message: a thread is sent
+// at most one message before it receives it.
+const readySlots = 16
+
+// thread is a virtual thread's record, padded to whole cache lines.
 type thread struct {
+	threadRec
+	_ [cacheLine - unsafe.Sizeof(threadRec{})%cacheLine]byte
+}
+
+type threadRec struct {
 	id     core.ThreadID
 	name   string
 	nameID uint32
@@ -437,11 +380,11 @@ type scheduler struct {
 	// their next assignment.
 	free []*thread
 	// parked carries the abort handshake during teardown; runDone is
-	// the one signal per suspension that control has left the virtual
-	// threads — either for good (clean completion, failure, deadlock,
-	// step limit, divergence) or because the run parked.
+	// the one signal per run that control has left the virtual threads
+	// for good (clean completion, failure, deadlock, step limit,
+	// divergence).
 	parked  chan *thread
-	runDone chan runSig
+	runDone chan struct{}
 	cur     *thread
 
 	seq     int64
@@ -482,7 +425,7 @@ type scheduler struct {
 	snapshotToFn  func(*Snapshot)
 
 	// start is the run's wall-clock start (zero under SkipTiming); res
-	// is the pooled Result returned by Start/Resume.
+	// is the pooled Result returned by Start.
 	start time.Time
 	res   core.Result
 
@@ -492,7 +435,7 @@ type scheduler struct {
 	coasting bool
 	// Fast-forward state (Config.FastForward): ffDec is the scheduler-
 	// owned copy of the prefix (the caller's slice may be reused while
-	// a run is parked), ffPos the replay cursor, ffQuiet suppresses
+	// the run is in flight), ffPos the replay cursor, ffQuiet suppresses
 	// listener fan-out until the first post-fast-forward decision
 	// (those events are covered by the restored listener state), and
 	// ffCheck/hasFFCheck carry the position digest verified there.
@@ -501,9 +444,6 @@ type scheduler struct {
 	ffQuiet    bool
 	ffCheck    Snapshot
 	hasFFCheck bool
-	// parkedRun is set while a run is suspended between Start/Resume
-	// and Resume/Abandon.
-	parkedRun bool
 
 	// outcomeTab interns Result.Outcome strings and dlTab interns
 	// deadlock descriptions: searches revisit the same few outcome and
@@ -607,8 +547,8 @@ func (s *scheduler) reset(cfg Config) {
 	if s.hasFFCheck {
 		s.ffCheck = *cfg.FFCheck
 	}
-	// Drop the config's aliases: the scheduler owns its copies, and a
-	// parked run must not pin the caller's (reused) buffers.
+	// Drop the config's aliases: the scheduler owns its copies, and the
+	// pooled config must not pin the caller's (reused) buffers.
 	s.cfg.FastForward = nil
 	s.cfg.FFCheck = nil
 	s.sleepers = 0
@@ -634,35 +574,30 @@ func (s *scheduler) progLoc() (core.Location, uint32) {
 	return core.CallerLocationID(2)
 }
 
-// drive takes one scheduling decision on the driver goroutine — the
-// run's first, or the re-offered decision after a Resume — hands
-// control to the picked thread, and sleeps until the virtual threads
-// report the run suspended again. From the handoff on, control moves
-// directly from thread to thread; the driver wakes only when the run
-// is over (finish) or parked (return nil with parkedRun set).
+// drive takes the run's first scheduling decision on the driver
+// goroutine, hands control to the picked thread, and sleeps until the
+// virtual threads report the run over. From the handoff on, control
+// moves directly from thread to thread; the driver wakes only to
+// finish the run.
 func (s *scheduler) drive() *core.Result {
-	next, st, bug := s.stepSafe()
+	next, bug := s.stepSafe()
 	switch {
 	case bug != nil:
 		s.bug = bug
-	case st == stepParked:
-		s.parkedRun = true
-		return nil
-	case st == stepOver:
-	default:
+	case next != nil:
 		s.cur = next
 		next.ready <- resumeMsg{}
-		if <-s.runDone == sigParked {
-			s.parkedRun = true
-			return nil
-		}
+		<-s.runDone
 	}
 	return s.finish()
 }
 
-// teardown unwinds every live thread and re-panics a ferried engine
-// bug on the driver goroutine.
-func (s *scheduler) teardown() {
+// finish unwinds every live thread, re-panics a ferried engine bug on
+// the driver goroutine, and builds the completed run's Result in the
+// pooled slot. Outcome and DeadlockInfo are interned strings and
+// FinishOrder aliases the per-run accumulator, so a completed run
+// allocates nothing here in steady state.
+func (s *scheduler) finish() *core.Result {
 	s.abortAll()
 	if s.bug != nil {
 		// An engine bug surfaced on a virtual thread; the teardown
@@ -674,14 +609,6 @@ func (s *scheduler) teardown() {
 		s.running = false
 		panic(msg)
 	}
-}
-
-// finish tears the completed run down and builds its Result in the
-// pooled slot. Outcome and DeadlockInfo are interned strings and
-// FinishOrder aliases the per-run accumulator, so a completed run
-// allocates nothing here in steady state.
-func (s *scheduler) finish() *core.Result {
-	s.teardown()
 
 	res := &s.res
 	*res = core.Result{
@@ -743,14 +670,13 @@ func (s *scheduler) internOutcome() string {
 }
 
 // step is one scheduling decision, executed inline by whichever
-// goroutine currently holds control (the driver at kickoff or resume,
-// the yielding virtual thread everywhere else — the overhaul that
-// removed the per-step round trip through a driver goroutine). It
-// returns the thread control should pass to, stepOver when the run is
-// finished (clean completion, failure, deadlock, step limit, or
-// strategy divergence), or stepParked when the strategy parked the run
-// without consuming the decision.
-func (s *scheduler) step() (next *thread, st stepStatus) {
+// goroutine currently holds control (the driver at kickoff, the
+// yielding virtual thread everywhere else — the overhaul that removed
+// the per-step round trip through a driver goroutine). It returns the
+// thread control should pass to, or nil when the run is finished
+// (clean completion, failure, deadlock, step limit, or strategy
+// divergence).
+func (s *scheduler) step() *thread {
 	if s.ffPos < len(s.ffDec) {
 		return s.ffStep()
 	}
@@ -759,7 +685,7 @@ func (s *scheduler) step() (next *thread, st stepStatus) {
 	}
 	for {
 		if s.failure != nil {
-			return nil, stepOver
+			return nil
 		}
 		runnable := s.runnable()
 		if len(runnable) == 0 {
@@ -767,14 +693,14 @@ func (s *scheduler) step() (next *thread, st stepStatus) {
 				continue
 			}
 			if s.liveCount() == 0 {
-				return nil, stepOver // clean completion
+				return nil // clean completion
 			}
 			s.deadlockInfo = s.describeDeadlock()
-			return nil, stepOver
+			return nil
 		}
 		if s.steps >= s.cfg.MaxSteps {
 			s.stepLimitHit = true
-			return nil, stepOver
+			return nil
 		}
 		if s.ffQuiet {
 			// First decision after a fast-forward: resume listener
@@ -785,7 +711,7 @@ func (s *scheduler) step() (next *thread, st stepStatus) {
 			s.ffQuiet = false
 			if s.hasFFCheck && !s.matchSnapshot(&s.ffCheck) {
 				s.diverged = true
-				return nil, stepOver
+				return nil
 			}
 		}
 
@@ -813,12 +739,7 @@ func (s *scheduler) step() (next *thread, st stepStatus) {
 		switch pick {
 		case core.NoThread:
 			s.diverged = true
-			return nil, stepOver
-		case ParkID:
-			// The decision is not consumed: no step is counted and
-			// nothing is recorded, so the same Choice is re-offered to
-			// the first Pick after Resume.
-			return nil, stepParked
+			return nil
 		case CoastID:
 			// The strategy hands the rest of the run to the built-in
 			// nonpreemptive rule, starting with this decision; coasted
@@ -826,9 +747,9 @@ func (s *scheduler) step() (next *thread, st stepStatus) {
 			s.coasting = true
 			s.steps++
 			if s.cur != nil && slices.Contains(runnable, s.cur.id) {
-				return s.cur, stepGo
+				return s.cur
 			}
-			return s.threadByID(runnable[0]), stepGo
+			return s.threadByID(runnable[0])
 		}
 		s.steps++
 		if s.cfg.RecordSchedule {
@@ -847,7 +768,7 @@ func (s *scheduler) step() (next *thread, st stepStatus) {
 			panic(engineBug{fmt.Sprintf("sched: strategy %s picked non-runnable thread %d (runnable %v)",
 				s.strategy.Name(), pick, runnable)})
 		}
-		return th, stepGo
+		return th
 	}
 }
 
@@ -861,17 +782,17 @@ func (s *scheduler) step() (next *thread, st stepStatus) {
 // scheduling point (tReady) nothing else can have changed state, so
 // the fast path skips even the runnable scan and hands control
 // straight back — no channel operation, no goroutine switch.
-func (s *scheduler) coastStep() (next *thread, st stepStatus) {
+func (s *scheduler) coastStep() *thread {
 	if s.failure != nil {
-		return nil, stepOver
+		return nil
 	}
 	if s.cur != nil && s.cur.state == tReady {
 		if s.steps >= s.cfg.MaxSteps {
 			s.stepLimitHit = true
-			return nil, stepOver
+			return nil
 		}
 		s.steps++
-		return s.cur, stepGo
+		return s.cur
 	}
 	for {
 		runnable := s.runnable()
@@ -880,20 +801,20 @@ func (s *scheduler) coastStep() (next *thread, st stepStatus) {
 				continue
 			}
 			if s.liveCount() == 0 {
-				return nil, stepOver // clean completion
+				return nil // clean completion
 			}
 			s.deadlockInfo = s.describeDeadlock()
-			return nil, stepOver
+			return nil
 		}
 		if s.steps >= s.cfg.MaxSteps {
 			s.stepLimitHit = true
-			return nil, stepOver
+			return nil
 		}
 		s.steps++
 		if s.cur != nil && slices.Contains(runnable, s.cur.id) {
-			return s.cur, stepGo
+			return s.cur
 		}
-		return s.threadByID(runnable[0]), stepGo
+		return s.threadByID(runnable[0])
 	}
 }
 
@@ -1172,7 +1093,7 @@ func (s *scheduler) spawn(name string, body func(core.T)) *thread {
 		th = s.free[n-1]
 		s.free = s.free[:n-1]
 	} else {
-		th = &thread{ready: make(chan resumeMsg), sc: s}
+		th = &thread{threadRec: threadRec{ready: make(chan resumeMsg, readySlots), sc: s}}
 		th.tcv.th = th
 		th.hv.child = th
 		go func() {
@@ -1239,7 +1160,7 @@ func (th *thread) runBody() {
 			// returns to the pool.
 			th.state = tDone
 			s.bug = &eb
-			s.runDone <- sigOver
+			s.runDone <- struct{}{}
 			return
 		}
 		fail, aborted := core.RecoverThread(rec, th.id)
@@ -1271,25 +1192,16 @@ func (th *thread) runBody() {
 // driver goroutine drove the loop.
 func (th *thread) finishHandoff() {
 	s := th.sc
-	next, st, bug := s.stepSafe()
+	next, bug := s.stepSafe()
 	if bug != nil {
 		s.bug = bug
-		s.runDone <- sigOver
+	}
+	if next == nil {
+		s.runDone <- struct{}{}
 		return
 	}
-	switch st {
-	case stepOver:
-		s.runDone <- sigOver
-	case stepParked:
-		// The run parks with this thread already finished: report the
-		// park and return to the pool loop. The driver re-takes the
-		// decision on Resume; s.cur still names this thread, so the
-		// re-offered Choice.Current is unchanged.
-		s.runDone <- sigParked
-	default:
-		s.cur = next
-		next.ready <- resumeMsg{}
-	}
+	s.cur = next
+	next.ready <- resumeMsg{}
 }
 
 // park takes one scheduling decision on behalf of the scheduler and
@@ -1301,22 +1213,12 @@ func (th *thread) finishHandoff() {
 // caller must have set th.state (and th.block for blocked parks).
 func (th *thread) park() {
 	s := th.sc
-	next, st := s.step()
-	if st == stepOver {
-		s.runDone <- sigOver
+	next := s.step()
+	if next == nil {
+		s.runDone <- struct{}{}
 		th.awaitAbort()
 	}
-	if st == stepParked {
-		// The run parks at this thread's decision point: report it to
-		// the driver, then wait exactly like a descheduled thread — a
-		// decision after Resume may pick this thread again, or the
-		// teardown abort unwinds it.
-		s.runDone <- sigParked
-		msg := <-th.ready
-		if msg.abort {
-			core.AbortNow()
-		}
-	} else if next != th {
+	if next != th {
 		s.cur = next
 		next.ready <- resumeMsg{}
 		msg := <-th.ready

@@ -53,8 +53,8 @@ type Snapshot struct {
 }
 
 // captureSnapshot fills dst with the scheduler's current position
-// digest. Only meaningful at a decision point (inside a strategy Pick
-// or while the run is parked), when no virtual thread is mid-
+// digest. Only meaningful at a decision point (inside a strategy
+// Pick, through Choice.SnapshotTo), when no virtual thread is mid-
 // operation.
 func (s *scheduler) captureSnapshot(dst *Snapshot) {
 	dst.Steps = s.steps
@@ -152,20 +152,6 @@ func (s *scheduler) stateSum() uint64 {
 	return h
 }
 
-// Snapshot fills dst with the parked run's position digest and
-// reports whether the Runner holds a parked run (it reports false,
-// leaving dst alone, otherwise). The digest pairs with
-// Config.FastForward/FFCheck: a later run that fast-forwards the
-// parked run's recorded decision prefix verifies it reached this
-// exact position.
-func (r *Runner) Snapshot(dst *Snapshot) bool {
-	if !r.s.parkedRun {
-		return false
-	}
-	r.s.captureSnapshot(dst)
-	return true
-}
-
 // ffStep is the fast-forward decision path: while recorded decisions
 // remain, each one is consumed without consulting the strategy —
 // matching step's counting, recording, time-warp and step-limit
@@ -176,10 +162,10 @@ func (r *Runner) Snapshot(dst *Snapshot) bool {
 // warp to) marks the run diverged instead of panicking: feeding a
 // recorded prefix to a nondeterministic program is a program bug, not
 // an engine bug.
-func (s *scheduler) ffStep() (next *thread, st stepStatus) {
+func (s *scheduler) ffStep() *thread {
 	for {
 		if s.failure != nil {
-			return nil, stepOver
+			return nil
 		}
 		pick := s.ffDec[s.ffPos]
 		var th *thread
@@ -190,25 +176,25 @@ func (s *scheduler) ffStep() (next *thread, st stepStatus) {
 			for len(s.runnable()) == 0 {
 				if !s.advanceTime() {
 					s.diverged = true
-					return nil, stepOver
+					return nil
 				}
 			}
 		} else {
 			th = s.threadByID(pick)
 			if th == nil {
 				s.diverged = true
-				return nil, stepOver
+				return nil
 			}
 			for !s.ffRunnable(th) {
 				if !s.advanceTime() {
 					s.diverged = true
-					return nil, stepOver
+					return nil
 				}
 			}
 		}
 		if s.steps >= s.cfg.MaxSteps {
 			s.stepLimitHit = true
-			return nil, stepOver
+			return nil
 		}
 		s.ffPos++
 		s.steps++
@@ -218,14 +204,14 @@ func (s *scheduler) ffStep() (next *thread, st stepStatus) {
 		if pick == IdleID {
 			if !s.advanceTime() {
 				s.diverged = true
-				return nil, stepOver
+				return nil
 			}
 			if s.ffPos < len(s.ffDec) {
 				continue
 			}
 			return s.step()
 		}
-		return th, stepGo
+		return th
 	}
 }
 
