@@ -45,7 +45,7 @@ func main() {
 	sleepSets := flag.Bool("sleepsets", false, "enable sleep-set pruning")
 	por := flag.Bool("por", false, "enable dynamic partial-order reduction (implies -sleepsets)")
 	stateCache := flag.Bool("statecache", false, "enable canonical-state caching")
-	cacheSize := flag.Int("statecachesize", 0, "state-cache entries per worker (0 = default)")
+	cacheSize := flag.Int("statecachesize", 0, "state-cache entries per worker; the workers share one table of -workers times this many (0 = default)")
 	checkpoints := flag.Int("checkpoints", 0, "snapshot positioning (any value > 0 turns it on; needs -statecache)")
 	timeouts := flag.Bool("timeouts", false, "explore timer expirations too")
 	stopFirst := flag.Bool("first", true, "stop at first bug")
@@ -143,12 +143,16 @@ func parseParams(s string) (repository.Params, error) {
 func run(cfg cliConfig) error {
 	// -checkpoints is an on switch for snapshot positioning, which hashes
 	// state and so only runs under the state cache; reject the values
-	// that would otherwise be silently ignored.
+	// that would otherwise be silently ignored, and a negative
+	// -statecachesize with them.
 	if cfg.checkpoints < 0 {
 		return fmt.Errorf("usage: -checkpoints %d is negative (0 = off, > 0 = on)", cfg.checkpoints)
 	}
 	if cfg.checkpoints > 0 && !cfg.stateCache {
 		return fmt.Errorf("usage: -checkpoints %d needs -statecache", cfg.checkpoints)
+	}
+	if cfg.cacheSize < 0 {
+		return fmt.Errorf("usage: -statecachesize %d is negative (0 = default)", cfg.cacheSize)
 	}
 	prog, err := repository.Get(cfg.prog)
 	if err != nil {

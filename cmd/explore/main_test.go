@@ -5,10 +5,11 @@ import (
 	"testing"
 )
 
-// TestRunCheckpointsUsage pins the -checkpoints validation: values the
-// engine would silently ignore (a negative count, or positioning
-// without the state cache it needs) are usage errors, while the
-// documented configuration runs.
+// TestRunCheckpointsUsage pins the -checkpoints and -statecachesize
+// validation: values the engine would silently ignore (a negative
+// count, positioning without the state cache it needs, a negative
+// cache size) are usage errors, while the documented configuration
+// runs.
 func TestRunCheckpointsUsage(t *testing.T) {
 	base := cliConfig{
 		prog: "account", params: "depositors=2,deposits=1",
@@ -19,14 +20,16 @@ func TestRunCheckpointsUsage(t *testing.T) {
 		name        string
 		checkpoints int
 		stateCache  bool
+		cacheSize   int
 		wantErr     string
 	}{
-		{"negative", -1, true, "negative"},
-		{"no-statecache", 4, false, "needs -statecache"},
-		{"accepted", 4, true, ""},
+		{"negative", -1, true, 0, "negative"},
+		{"no-statecache", 4, false, 0, "needs -statecache"},
+		{"negative-cachesize", 4, true, -1, "-statecachesize -1 is negative"},
+		{"accepted", 4, true, 0, ""},
 	} {
 		cfg := base
-		cfg.checkpoints, cfg.stateCache = tc.checkpoints, tc.stateCache
+		cfg.checkpoints, cfg.stateCache, cfg.cacheSize = tc.checkpoints, tc.stateCache, tc.cacheSize
 		err := run(cfg)
 		switch {
 		case tc.wantErr == "" && err != nil:

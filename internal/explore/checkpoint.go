@@ -1,12 +1,13 @@
-// Worker kits and branch snapshots.
+// Worker kits, state-cache tables and branch snapshots.
 //
 // A workerKit is the reusable per-worker execution state: the pooled
-// runner, the DFS node free list, the reduction structures (event
-// hasher + canonical-state cache) and the outcome-key intern table.
-// Kits are recycled through a package-level pool, so a campaign that
-// calls Explore thousands of times pays the runner/cache construction
-// cost once — the state cache is invalidated by generation bump on
-// checkout instead of being reallocated or zeroed.
+// runner, the DFS node free list, the event hasher and the outcome-key
+// intern table. Kits are recycled through a package-level pool, so a
+// campaign that calls Explore thousands of times pays the runner
+// construction cost once. The canonical-state cache is not part of a
+// kit: it is one table per Explore call, shared by that call's
+// workers, recycled through its own small pool and invalidated by
+// generation bump on checkout instead of being reallocated or zeroed.
 //
 // With Options.Checkpoints > 0 the DFS path nodes also carry branch
 // snapshots (branchSnap), the retained state every schedule is
@@ -15,6 +16,7 @@ package explore
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 
 	"mtbench/internal/core"
@@ -40,7 +42,6 @@ type workerKit struct {
 	runner *sched.Runner
 	pool   *nodePool
 	hasher *stateHasher
-	cache  *stateCache
 
 	// outKeys interns the "verdict:outcome" histogram keys per verdict,
 	// so recording a run allocates nothing once a (verdict, outcome)
@@ -89,30 +90,56 @@ func (k *workerKit) release() {
 }
 
 // reductionFor prepares the kit's reduction bundle for one
-// exploration: reuse the hasher and (size permitting) the cache,
-// invalidating cached subtrees from whatever exploration used the kit
-// last.
-func (k *workerKit) reductionFor(opts Options) *reduction {
+// exploration: reuse the hasher and point the worker at the
+// exploration's shared state cache.
+func (k *workerKit) reductionFor(opts Options, cache *stateCache) *reduction {
 	if !opts.StateCache {
 		return nil
-	}
-	size := opts.StateCacheSize
-	if size <= 0 {
-		size = DefaultStateCacheSize
-	}
-	n := 1 << bits.Len(uint(size-1))
-	if k.cache == nil || len(k.cache.ents) != n {
-		k.cache = newStateCache(size)
-	} else {
-		k.cache.reset()
 	}
 	if k.hasher == nil {
 		k.hasher = newStateHasher()
 	}
-	r := &reduction{hasher: k.hasher, cache: k.cache}
+	r := &reduction{hasher: k.hasher, cache: cache}
 	r.listeners = append(r.listeners, core.Listener(k.hasher))
 	r.listeners = append(r.listeners, opts.Listeners...)
 	return r
+}
+
+// cachePool recycles state-cache tables process-wide, so repeated
+// Explore calls allocate no table. A table is multi-megabyte, so the
+// pool is small; when it is full the oldest table is dropped.
+var (
+	cacheMu   sync.Mutex
+	cacheFree []*stateCache
+)
+
+const maxPooledCaches = 4
+
+// getStateCache checks out an empty table of at least entries slots,
+// rounded up to a power of two.
+func getStateCache(entries int) *stateCache {
+	n := 1 << bits.Len(uint(entries-1))
+	cacheMu.Lock()
+	for i, c := range cacheFree {
+		if len(c.ents) == n {
+			cacheFree = slices.Delete(cacheFree, i, i+1)
+			cacheMu.Unlock()
+			c.reset()
+			return c
+		}
+	}
+	cacheMu.Unlock()
+	return &stateCache{mask: uint64(n - 1), gen: 1, ents: make([]cacheEnt, n)}
+}
+
+// release returns the table to the pool once no worker uses it.
+func (c *stateCache) release() {
+	cacheMu.Lock()
+	if len(cacheFree) == maxPooledCaches {
+		cacheFree = slices.Delete(cacheFree, 0, 1)
+	}
+	cacheFree = append(cacheFree, c)
+	cacheMu.Unlock()
 }
 
 // outKey returns the interned outcome-histogram key for a run.

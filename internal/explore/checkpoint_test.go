@@ -23,11 +23,12 @@ import (
 // program it must replay strictly fewer while reporting snapshot
 // fast-forwards in the stats.
 //
-// With Workers: 8 the per-worker state caches see different state
-// sequences depending on shard-donation timing — which positioning
-// shifts, exactly as coast-mode donation timing already varies — so
-// schedule counts are not comparable across modes (TestReducedEquivalence pins
-// the parallel bound against the full tree instead). The parallel
+// With Workers: 8 the shared state cache fills in an order that
+// depends on shard-donation timing and on how the workers interleave —
+// which positioning shifts, exactly as coast-mode donation timing
+// already varies — so schedule counts are not comparable across modes
+// (TestReducedEquivalence pins the parallel bound against the full
+// tree, TestWorkersShareStateCache against the serial search). The parallel
 // checkpointed contract is the soundness half: when the search
 // exhausts, it finds exactly the serial bug set, and its outcome
 // histogram accounts for every schedule.

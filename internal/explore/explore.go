@@ -95,12 +95,15 @@ type Options struct {
 	DPOR bool
 	// StateCache enables canonical-state memoization: scheduler states
 	// are hashed (per-thread event chains in conflict order + runnable
-	// set + pending-operation handles) into a bounded per-worker
-	// direct-mapped cache, and a revisited state's subtree is cut.
+	// set + pending-operation handles) into a bounded direct-mapped
+	// cache, and a revisited state's subtree is cut. The cache is one
+	// table per Explore call, shared by all of its workers, so no
+	// worker re-explores a subtree another has already covered.
 	StateCache bool
-	// StateCacheSize is the per-worker entry count of the state cache
-	// (0 = DefaultStateCacheSize). Collisions overwrite, so a small
-	// cache prunes less but is never unsound.
+	// StateCacheSize is the state cache's entry count per worker
+	// (0 or negative = DefaultStateCacheSize): the shared table holds
+	// Workers × StateCacheSize entries. Collisions overwrite, so a
+	// small cache prunes less but is never unsound.
 	StateCacheSize int
 	// Checkpoints turns on snapshot positioning when > 0; the number
 	// itself is ignored (it once bounded a pool of parked runners). Each
@@ -393,7 +396,7 @@ type explorer struct {
 	// pool recycles nodes across schedules and shards (owned by the
 	// worker driving this explorer).
 	pool *nodePool
-	// red is the worker's state-cache machinery (nil unless
+	// red is the worker's view of the state-cache machinery (nil unless
 	// Options.StateCache); stats accumulates this shard's reduction
 	// counters, merged by the coordinator when the shard ends.
 	red   *reduction
@@ -638,7 +641,7 @@ func (e *explorer) newNode(c *sched.Choice, pd int, st *dfsStrategy) *node {
 		n.sleepMask, n.maskOK = sleepMask(n.sleep)
 		n.stateHash = e.hashState(c, n)
 		if n.maskOK {
-			if ent, ok := e.red.cache.lookup(n.stateHash, n.sleepMask); ok {
+			if ent := &e.red.hit; e.red.cache.lookup(n.stateHash, n.sleepMask, ent) {
 				e.stats.StateHits++
 				if e.opts.DPOR {
 					e.applySummary(ent, pd)
@@ -865,6 +868,9 @@ func Explore(opts Options, body func(core.T)) *Result {
 	}
 	if opts.DPOR {
 		opts.SleepSets = true
+	}
+	if opts.StateCacheSize <= 0 {
+		opts.StateCacheSize = DefaultStateCacheSize
 	}
 	return newCoordinator(opts, body).run()
 }

@@ -92,21 +92,26 @@ func newCoordinator(opts Options, body func(core.T)) *coordinator {
 // run executes the sharded search to completion and merges the result.
 func (c *coordinator) run() *Result {
 	c.push(&workItem{}) // the root shard: the whole tree
+	// One canonical-state table serves every worker, sized to the sum
+	// of the per-worker entry counts: a subtree any worker has fully
+	// explored cuts its equivalents in all of them.
+	var cache *stateCache
+	if c.opts.StateCache {
+		cache = getStateCache(c.workers * c.opts.StateCacheSize)
+		defer cache.release()
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < c.workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			// Each worker checks out a kit — pooled runner, node free
-			// list and, when the state cache is on, the reduction
-			// structures (event hasher + canonical-state cache) — reused
-			// across every schedule, shard and Explore call (see
-			// checkpoint.go). The cache is per-worker: an entry only
-			// ever asserts "this worker fully explored an equivalent
-			// subtree", which needs no cross-worker locking.
+			// list and event hasher — reused across every schedule,
+			// shard and Explore call (see checkpoint.go). Its reduction
+			// bundle points at the shared table above.
 			kit := getKit()
 			defer kit.release()
-			red := kit.reductionFor(c.opts)
+			red := kit.reductionFor(c.opts, cache)
 			for {
 				item := c.take()
 				if item == nil {

@@ -221,6 +221,36 @@ func TestWorkersStopAtFirstBug(t *testing.T) {
 	}
 }
 
+// TestWorkersShareStateCache pins the shared canonical-state table:
+// the workers of one exploration cut subtrees any of them has already
+// covered, so reduced search at 8 workers stays within 2x the serial
+// schedule count (per-worker tables re-explored every subtree another
+// worker had proved equivalent: 5-7x) and finds the serial bug set.
+func TestWorkersShareStateCache(t *testing.T) {
+	prog, err := repository.Get("philosophers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := prog.BodyWith(repository.Params{"philosophers": 3, "rounds": 1})
+	opts := Options{MaxSchedules: 200000, DPOR: true, StateCache: true, Checkpoints: 4}
+	opts.Workers = 1
+	serial := Explore(opts, body)
+	opts.Workers = 8
+	parallel := Explore(opts, body)
+	if serial.Err != nil || parallel.Err != nil {
+		t.Fatalf("serial err=%v parallel err=%v", serial.Err, parallel.Err)
+	}
+	if !serial.Exhausted || !parallel.Exhausted {
+		t.Fatalf("exhausted serial=%v parallel=%v", serial.Exhausted, parallel.Exhausted)
+	}
+	if sk, pk := bugKeys(serial), bugKeys(parallel); !reflect.DeepEqual(sk, pk) {
+		t.Errorf("bug sets differ\n  serial:   %v\n  parallel: %v", sk, pk)
+	}
+	if parallel.Schedules > 2*serial.Schedules {
+		t.Errorf("8 workers executed %d schedules, more than 2x the serial %d", parallel.Schedules, serial.Schedules)
+	}
+}
+
 // TestWorkersDeterministicSerial: Workers: 1 is bit-for-bit
 // reproducible run over run (bug indices, schedules, outcomes).
 func TestWorkersDeterministicSerial(t *testing.T) {

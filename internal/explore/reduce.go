@@ -30,7 +30,7 @@
 //
 // # Canonical-state cache
 //
-// With Options.StateCache, a per-worker listener folds every executed
+// With Options.StateCache, each worker's listener folds every executed
 // event into per-thread hash chains, linking chains through per-object
 // "last writer" hashes so that two schedule prefixes hash equal iff
 // they execute the same per-thread event sequences in the same
@@ -48,12 +48,13 @@
 //     subtree must not also cut the race reversals it would have
 //     requested).
 //
-// The cache is a bounded direct-mapped table: collisions overwrite,
-// which forfeits pruning but never soundness.
+// The cache is a bounded direct-mapped table shared by all workers of
+// one exploration: collisions overwrite, which forfeits pruning but
+// never soundness.
 package explore
 
 import (
-	"math/bits"
+	"sync"
 
 	"mtbench/internal/core"
 	"mtbench/internal/sched"
@@ -323,9 +324,8 @@ func (sh *stateHasher) OnEvent(ev *core.Event) {
 // steady-state insertion allocates nothing. An entry is live only
 // when its gen matches the cache's current generation — bumping the
 // generation invalidates the whole table without touching its memory,
-// which is what lets a pooled worker kit reuse one multi-megabyte
-// table across explorations instead of zeroing (or reallocating) it
-// per Explore call.
+// which is what lets a pooled table be reused across explorations
+// instead of zeroed (or reallocated) per Explore call.
 type cacheEnt struct {
 	hash  uint64
 	sleep uint64 // inherited sleep set at exploration, as a thread bitmask
@@ -334,26 +334,33 @@ type cacheEnt struct {
 	sum   [subCap]uint64
 }
 
-// stateCache is the bounded canonical-state table. One per worker:
-// entries only assert "this worker fully explored an equivalent
-// subtree", which is sound without any cross-worker coordination.
+// cacheStripes is the number of locks guarding a stateCache's slots.
+// A slot always maps to the same stripe; distinct slots may share one.
+const cacheStripes = 64
+
+// cacheStripe pads each lock to its own cache line: the workers of one
+// exploration take different stripes concurrently.
+type cacheStripe struct {
+	sync.Mutex
+	_ [56]byte
+}
+
+// stateCache is the bounded canonical-state table, one per Explore
+// call and shared by all of its workers. An entry asserts "an
+// equivalent subtree was fully explored", whichever worker inserted
+// it; DESIGN.md gives the soundness argument for borrowing another
+// worker's entries. Every slot access holds the slot's stripe lock, so
+// a reader never sees half of one insert and half of another.
 type stateCache struct {
-	mask uint64
-	gen  uint32
-	ents []cacheEnt
+	mask    uint64
+	gen     uint32
+	ents    []cacheEnt
+	stripes [cacheStripes]cacheStripe
 }
 
 // DefaultStateCacheSize is the per-worker entry count when
-// Options.StateCacheSize is zero.
+// Options.StateCacheSize is zero or negative.
 const DefaultStateCacheSize = 1 << 15
-
-func newStateCache(size int) *stateCache {
-	if size <= 0 {
-		size = DefaultStateCacheSize
-	}
-	n := 1 << bits.Len(uint(size-1)) // round up to a power of two
-	return &stateCache{mask: uint64(n - 1), gen: 1, ents: make([]cacheEnt, n)}
-}
 
 // reset invalidates every entry in O(1) by advancing the generation.
 // Cached subtree identities are only meaningful within one exploration
@@ -366,38 +373,57 @@ func (c *stateCache) reset() {
 	}
 }
 
-// lookup reports a usable entry for the state: same hash, and explored
-// under a sleep set no larger than the current one.
-func (c *stateCache) lookup(hash, sleep uint64) (*cacheEnt, bool) {
-	e := &c.ents[hash&c.mask]
+// stripe returns the lock guarding a slot. It is keyed by the slot
+// index alone: two hashes that share a slot must share its lock,
+// whatever their other bits.
+func (c *stateCache) stripe(slot uint64) *sync.Mutex {
+	return &c.stripes[slot%cacheStripes].Mutex
+}
+
+// lookup reports whether a usable entry exists for the state — same
+// hash, explored under a sleep set no larger than the current one —
+// and copies it into out under the slot's lock, so a concurrent insert
+// cannot change it while the caller replays its summary.
+func (c *stateCache) lookup(hash, sleep uint64, out *cacheEnt) bool {
+	slot := hash & c.mask
+	mu := c.stripe(slot)
+	mu.Lock()
+	defer mu.Unlock()
+	e := &c.ents[slot]
 	if e.gen != c.gen || e.hash != hash {
-		return nil, false
+		return false
 	}
 	if e.sleep&^sleep != 0 {
-		return nil, false // cached run slept more than we would: it explored less
+		return false // cached run slept more than we would: it explored less
 	}
-	return e, true
+	*out = *e
+	return true
 }
 
 // insert records a fully-explored subtree. Collisions overwrite: the
 // cache is an accelerator, not a ledger.
 func (c *stateCache) insert(hash, sleep uint64, sum []uint64) {
-	e := &c.ents[hash&c.mask]
+	slot := hash & c.mask
+	mu := c.stripe(slot)
+	mu.Lock()
+	defer mu.Unlock()
+	e := &c.ents[slot]
 	e.hash, e.sleep, e.gen = hash, sleep, c.gen
 	e.nsum = uint8(len(sum))
 	copy(e.sum[:], sum)
 }
 
-// reduction bundles the per-worker state of the reduction layer: the
+// reduction bundles one worker's view of the reduction layer: its
 // event hasher, its listener slice (hasher first, then the user's
-// listeners), and the canonical-state cache. nil when Options.
-// StateCache is off; DPOR alone needs no per-worker state. The hasher
-// and cache are owned by the worker's kit and reused across
-// explorations; only this thin bundle (and its listener slice) is
-// rebuilt per Explore call.
+// listeners), the exploration's shared canonical-state cache and the
+// worker's copy of the last cache hit. nil when Options.StateCache is
+// off; DPOR alone needs no per-worker state. The hasher is owned by
+// the worker's kit and reused across explorations; only this thin
+// bundle (and its listener slice) is rebuilt per Explore call.
 type reduction struct {
 	hasher    *stateHasher
 	cache     *stateCache
+	hit       cacheEnt
 	listeners []core.Listener
 }
 

@@ -3,6 +3,9 @@ package explore
 import (
 	"fmt"
 	"reflect"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"mtbench/internal/core"
@@ -345,6 +348,65 @@ func TestReductionStats(t *testing.T) {
 	}
 	if cache.Schedules >= 2728 { // unreduced golden count for account
 		t.Errorf("state cache did not reduce account: %d schedules", cache.Schedules)
+	}
+}
+
+// TestStateCacheConcurrentEntries stresses the shared state table the
+// way the workers of one exploration use it: several goroutines insert
+// and look up hashes that collide on the same few slots. Every hit
+// must hand back one insert's whole entry — the queried hash with the
+// sleep set and summary that insert wrote — never a mix of two. Run
+// under -race, it also checks that every slot access is locked.
+func TestStateCacheConcurrentEntries(t *testing.T) {
+	const (
+		goroutines = 4
+		iterations = 20000
+		colliders  = 8 // distinct hashes per slot
+	)
+	c := getStateCache(4)
+	defer c.release()
+	slots := c.mask + 1
+	// entry derives an insert's sleep set and summary from its hash and
+	// writer, so a reader can tell a whole entry from a torn one.
+	entry := func(hash, writer uint64) (uint64, []uint64) {
+		sleep := writer<<32 | hash&0xffff
+		sum := make([]uint64, 1+(hash^writer)%subCap)
+		for j := range sum {
+			sum[j] = hash ^ sleep ^ uint64(j)<<48
+		}
+		return sleep, sum
+	}
+	var wg sync.WaitGroup
+	var hits atomic.Int64
+	for g := uint64(0); g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var out cacheEnt
+			for i := uint64(0); i < iterations; i++ {
+				hash := (i*7+g)%slots + slots*((i*3+g)%colliders)
+				if i%2 == 0 {
+					sleep, sum := entry(hash, g)
+					c.insert(hash, sleep, sum)
+					continue
+				}
+				if !c.lookup(hash, ^uint64(0), &out) {
+					continue
+				}
+				hits.Add(1)
+				writer := out.sleep >> 32
+				sleep, sum := entry(hash, writer)
+				if out.hash != hash || out.sleep != sleep || !slices.Equal(out.sum[:out.nsum], sum) {
+					t.Errorf("lookup(%#x) returned a torn entry: hash %#x sleep %#x summary %x",
+						hash, out.hash, out.sleep, out.sum[:out.nsum])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if hits.Load() == 0 {
+		t.Fatal("no lookup hit: the stress never read a live entry")
 	}
 }
 
