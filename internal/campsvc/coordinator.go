@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"mtbench/internal/campaign"
+	"mtbench/internal/core"
 )
 
 // Coordinator defaults.
@@ -157,7 +158,7 @@ func NewCoordinator(cfg campaign.Config, store *campaign.Store, opts Coordinator
 		cells:   map[string]*cellEntry{},
 		leases:  map[string]*lease{},
 		workers: map[string]*workerState{},
-		rng:     rand.New(rand.NewSource(opts.Seed)),
+		rng:     core.NewRand(opts.Seed),
 		done:    make(chan struct{}),
 	}
 	for _, cell := range campaign.Cells(cfg) {

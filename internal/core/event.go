@@ -118,6 +118,12 @@ var locCache sync.Map // uintptr -> cachedLoc
 type cachedLoc struct {
 	loc Location
 	id  uint32
+	// elided marks a probe PC inside a frame that runtime.Callers
+	// elides, such as the compiler-generated closure of a defer
+	// statement: the program's logical call site is not a function of
+	// that PC, so probes captured there walk the stack instead. loc
+	// and id still resolve the PC itself.
+	elided bool
 }
 
 // CallerLocation resolves the source location skip+1 frames above the
@@ -131,24 +137,37 @@ func CallerLocation(skip int) Location {
 
 // CallerLocationID is CallerLocation plus the interned program-point
 // handle (InternLocKey of the location), resolved through the same
-// per-PC cache so the steady-state cost is one stack hop and one map
-// load.
+// per-PC cache as ProbeLocationID. It walks the stack with
+// runtime.Callers, which is exact but costs an unwind per call; the
+// hot probe paths use ProbeLocationID instead.
 func CallerLocationID(skip int) (Location, uint32) {
 	var pcs [1]uintptr
 	if runtime.Callers(skip+2, pcs[:]) == 0 {
 		return Location{}, 0
 	}
-	pc := pcs[0]
+	cl := resolvePC(pcs[0])
+	return cl.loc, cl.id
+}
+
+// resolvePC maps a return address (or runtime.Callers PC) to its
+// source location and handle through locCache.
+func resolvePC(pc uintptr) cachedLoc {
 	if c, ok := locCache.Load(pc); ok {
-		cl := c.(cachedLoc)
-		return cl.loc, cl.id
+		return c.(cachedLoc)
 	}
-	frames := runtime.CallersFrames(pcs[:])
+	cl := resolveFrame(pc)
+	locCache.Store(pc, cl)
+	return cl
+}
+
+// resolveFrame resolves pc without the cache. The innermost frame is
+// reported, so a PC inside inlined code resolves to the inlined
+// function's line, as runtime.Callers' logical frames do.
+func resolveFrame(pc uintptr) cachedLoc {
+	frames := runtime.CallersFrames([]uintptr{pc})
 	fr, _ := frames.Next()
 	loc := Location{File: trimPath(fr.File), Line: fr.Line, Fn: trimFn(fr.Function)}
-	cl := cachedLoc{loc: loc, id: InternLocKey(loc.File, loc.Line)}
-	locCache.Store(pc, cl)
-	return cl.loc, cl.id
+	return cachedLoc{loc: loc, id: InternLocKey(loc.File, loc.Line)}
 }
 
 // trimPath shortens an absolute file path to its last two path

@@ -63,15 +63,15 @@ type OpFilter interface {
 
 // LocationIndifferent is an optional Listener extension mirroring the
 // strategy-side location gate: capturing the source location of every
-// instrumented operation costs a stack walk per probe, so the
-// controlled runtime turns capture on whenever any listener is
-// attached — unless every attached listener declares, by implementing
-// this interface with NeedsLocations() false, that it never reads
-// Event.Loc/LocID. Listeners without the method are assumed to need
-// locations. The state-hashing listener of the exploration engine's
-// reduction layer is the motivating case: it observes every event on
-// the hottest search path and must not reinstate the per-probe stack
-// walk the runner pooling work removed.
+// instrumented operation costs a frame-pointer read and a cache lookup
+// per probe, so the controlled runtime turns capture on whenever any
+// listener is attached — unless every attached listener declares, by
+// implementing this interface with NeedsLocations() false, that it
+// never reads Event.Loc/LocID. Listeners without the method are
+// assumed to need locations. The state-hashing listener of the
+// exploration engine's reduction layer is the motivating case: it
+// observes every event on the hottest search path and pays nothing
+// for locations it never reads.
 type LocationIndifferent interface {
 	NeedsLocations() bool
 }

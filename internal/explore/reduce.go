@@ -153,7 +153,7 @@ const forkObj = uint64(1) << 40
 
 // stateHasher is the per-worker listener that folds the run's event
 // stream into per-thread hash chains. It is location-blind (it must
-// not reinstate the per-probe stack walk) and is reset at the start of
+// not turn on per-probe location capture) and is reset at the start of
 // every run: a run replays its whole prefix, so the chains are rebuilt
 // from scratch each time and depend only on the decision sequence.
 // objSlot is one object's conflict-chain state, indexed by the

@@ -8,46 +8,6 @@ import (
 	"mtbench/internal/sched"
 )
 
-// lazySeedSource wraps the stock math/rand source with deferred
-// seeding: Seed just records the seed, and the expensive legacy
-// reseed (the generator regenerates its whole 607-word state) runs on
-// the first draw — so candidates that execute without ever consulting
-// the rng (no repairs, no random tail) pay nothing. The draw stream is
-// exactly the one rand.New(rand.NewSource(seed)) would produce.
-type lazySeedSource struct {
-	src    rand.Source64
-	seed   int64
-	seeded bool
-}
-
-func newLazySeedSource() *lazySeedSource {
-	return &lazySeedSource{src: rand.NewSource(0).(rand.Source64), seeded: true}
-}
-
-// Seed implements rand.Source, deferring the underlying reseed.
-func (l *lazySeedSource) Seed(seed int64) { l.seed, l.seeded = seed, false }
-
-func (l *lazySeedSource) force() {
-	if !l.seeded {
-		l.src.Seed(l.seed)
-		l.seeded = true
-	}
-}
-
-// Int63 implements rand.Source.
-func (l *lazySeedSource) Int63() int64 {
-	l.force()
-	return l.src.Int63()
-}
-
-// Uint64 implements rand.Source64 (rand.Rand draws through it when
-// available, so the wrapper must forward it to keep streams
-// identical).
-func (l *lazySeedSource) Uint64() uint64 {
-	l.force()
-	return l.src.Uint64()
-}
-
 // guided is the candidate-execution strategy: it follows a mutated
 // decision log for as long as the log is feasible, repairs infeasible
 // decisions with a seeded random pick instead of declaring divergence

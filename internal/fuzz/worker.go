@@ -92,11 +92,9 @@ type workerState struct {
 	// the worker's own, and the global tracker's mutex is taken once
 	// per run instead of once per event.
 	perRun *coverage.Tracker
-	// g is the reusable guided strategy; grng is its rng, lazily
-	// reseeded per candidate (equivalent stream to a freshly
-	// constructed one, but runs that never draw pay nothing).
+	// g is the reusable guided strategy; grng is its rng, reseeded
+	// per candidate.
 	g    guided
-	gsrc *lazySeedSource
 	grng *rand.Rand
 
 	listeners []core.Listener
@@ -109,10 +107,9 @@ func (c *coordinator) newWorkerState() *workerState {
 	ws := &workerState{
 		runner:  sched.NewRunner(),
 		perRun:  coverage.NewTracker(),
-		gsrc:    newLazySeedSource(),
+		grng:    core.NewRand(0),
 		targets: map[uint32]bool{},
 	}
-	ws.grng = rand.New(ws.gsrc)
 	return ws
 }
 
@@ -131,7 +128,7 @@ func (c *coordinator) run() *Result {
 
 	var wg sync.WaitGroup
 	for w := 0; w < c.opts.Workers; w++ {
-		rng := rand.New(rand.NewSource(mix(c.opts.Seed, int64(w)+1)))
+		rng := core.NewRand(mix(c.opts.Seed, int64(w)+1))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -168,7 +165,7 @@ func (c *coordinator) seedCorpus(ws *workerState) {
 		if c.stopping.Load() || c.reserved.Add(1) > int64(c.opts.MaxRuns) {
 			return
 		}
-		g := &guided{rng: rand.New(rand.NewSource(mix(c.opts.Seed, -int64(i)-1))), capture: c.opts.Canonicalize}
+		g := &guided{rng: core.NewRand(mix(c.opts.Seed, -int64(i)-1)), capture: c.opts.Canonicalize}
 		var st sched.Strategy = g
 		if i == 0 {
 			st = sched.Nonpreemptive()
@@ -202,10 +199,10 @@ func (c *coordinator) fuzzLoop(ws *workerState, rng *rand.Rand) {
 		m := mutators[rng.Intn(len(mutators))]
 		candidate := m.fn(rng, base, donor, &c.opts)
 		// Reuse the worker's guided strategy: reseeding its rng yields
-		// the same stream a freshly built rand.New(rand.NewSource(n))
-		// would, so reuse is invisible to the campaign's determinism.
+		// the same stream a fresh core.NewRand(n) would, so reuse is
+		// invisible to the campaign's determinism.
 		g := &ws.g
-		ws.gsrc.Seed(rng.Int63())
+		ws.grng.Seed(rng.Int63())
 		*g = guided{decisions: candidate, rng: ws.grng, targets: targets, hot: g.hot[:0],
 			capture: c.opts.Canonicalize, fps: g.fps[:0]}
 		c.executeAndMerge(ws, g, g, m.name)

@@ -31,8 +31,15 @@ func (t *ntc) ID() core.ThreadID { return t.id }
 func (t *ntc) Name() string      { return t.name }
 
 // progLoc resolves the benchmark program's call site (program -> ntc
-// method -> here).
-func progLoc() core.Location { return core.CallerLocation(2) }
+// or object method -> here). It must stay a real frame:
+// core.ProbeLocationID reads the call site a fixed number of frame
+// pointers up.
+//
+//go:noinline
+func progLoc() core.Location {
+	loc, _ := core.ProbeLocationID()
+	return loc
+}
 
 // before runs the pre-operation half of a probe: abort check, noise
 // injection, replay gating. It reports whether the probe is enabled so

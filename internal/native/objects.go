@@ -377,12 +377,13 @@ type nwaitgroup struct {
 
 func (w *nwaitgroup) OID() core.ObjectID { return w.id }
 
-func (w *nwaitgroup) Add(t core.T, delta int) { w.add(t, delta) }
-func (w *nwaitgroup) Done(t core.T)           { w.add(t, -1) }
+// Add and Done capture the call site themselves: progLoc must be
+// called directly from the method the program called.
+func (w *nwaitgroup) Add(t core.T, delta int) { w.add(t, delta, progLoc()) }
+func (w *nwaitgroup) Done(t core.T)           { w.add(t, -1, progLoc()) }
 
-func (w *nwaitgroup) add(t core.T, delta int) {
+func (w *nwaitgroup) add(t core.T, delta int, loc core.Location) {
 	nt := t.(*ntc)
-	loc := progLoc()
 	en := nt.before(core.OpWGAdd, w.name, loc)
 	w.mu.Lock()
 	was := w.count

@@ -24,7 +24,6 @@ package native
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -173,7 +172,7 @@ func (r *rt) newThread(name string) *ntc {
 		id:   id,
 		name: name,
 		r:    r,
-		rng:  rand.New(rand.NewSource(r.cfg.Seed + int64(id)*1_000_003)),
+		rng:  core.NewRand(r.cfg.Seed + int64(id)*1_000_003),
 		done: make(chan struct{}),
 	}
 	r.mu.Lock()

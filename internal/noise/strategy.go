@@ -41,7 +41,7 @@ func NewStrategy(base sched.Strategy, h Heuristic, seed int64) *Strategy {
 	if h == nil {
 		h = None()
 	}
-	return &Strategy{Base: base, H: h, rng: rand.New(rand.NewSource(seed))}
+	return &Strategy{Base: base, H: h, rng: core.NewRand(seed)}
 }
 
 // Name implements sched.Strategy.

@@ -200,7 +200,7 @@ func Run(opts Options, body func(core.T)) *Result {
 	seen := map[string]bool{}
 	var horizon int64
 	for i := 0; i < opts.MaxRuns; i++ {
-		rng := rand.New(rand.NewSource(core.MixSeed(opts.Seed, int64(i))))
+		rng := core.NewRand(core.MixSeed(opts.Seed, int64(i)))
 		changePoints := 0
 		if i > 0 {
 			// Run 1 is the pure priority serialization that seeds the

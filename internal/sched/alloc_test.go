@@ -39,10 +39,17 @@ func allocBody(ct core.T) {
 // the regression this test exists to catch.
 const maxPooledAllocs = 8
 
+// locReader is a listener that reads every event's location handle,
+// so runs under it capture a location per probe.
+type locReader struct{ sum uint64 }
+
+func (l *locReader) OnEvent(ev *core.Event) { l.sum += uint64(ev.LocID) }
+
 // TestPooledRunAllocs is the allocation regression gate on the run
 // hot path (CI runs it with every push): steady-state pooled runs must
 // stay allocation-free in the engine, with and without schedule
-// recording.
+// recording, and with a listener that makes every probe capture its
+// call site.
 func TestPooledRunAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -50,6 +57,7 @@ func TestPooledRunAllocs(t *testing.T) {
 	}{
 		{"plain", Config{}},
 		{"recording", Config{RecordSchedule: true}},
+		{"located", Config{Listeners: []core.Listener{&locReader{}}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := NewRunner()
@@ -58,6 +66,7 @@ func TestPooledRunAllocs(t *testing.T) {
 			n := testing.AllocsPerRun(200, func() {
 				r.Run(tc.cfg, allocBody)
 			})
+			t.Logf("%.1f allocs/run", n)
 			if n > maxPooledAllocs {
 				t.Fatalf("pooled run allocates %.1f objects/run, budget %d", n, maxPooledAllocs)
 			}
@@ -80,5 +89,21 @@ func TestPooledRunReusesThreads(t *testing.T) {
 	after := goroutineCount()
 	if after > before+2 {
 		t.Fatalf("goroutines grew from %d to %d over 50 pooled runs", before, after)
+	}
+}
+
+// TestRandomStrategyAllocs pins the cost of a per-run random strategy:
+// building sched.Random and drawing a few picks is the strategy and
+// one core.NewRand allocation, with no seeding table behind them.
+func TestRandomStrategyAllocs(t *testing.T) {
+	c := &Choice{Runnable: []core.ThreadID{0, 1, 2}}
+	n := testing.AllocsPerRun(200, func() {
+		st := Random(7)
+		for i := 0; i < 5; i++ {
+			st.Pick(c)
+		}
+	})
+	if n > 2 {
+		t.Fatalf("Random(seed) plus 5 picks allocates %.1f objects, budget 2", n)
 	}
 }

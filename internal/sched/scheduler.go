@@ -564,14 +564,18 @@ func (s *scheduler) reset(cfg Config) {
 	s.choice = Choice{PendingOf: s.pendingOfFn, FootprintOf: s.footprintOfFn, SnapshotTo: s.snapshotToFn}
 }
 
-// progLoc resolves the benchmark program's call site (2 frames above
+// progLoc resolves the benchmark program's call site (the caller of
 // the tc/object method that calls it), or reports the zero location
-// when nothing in this run observes locations.
+// when nothing in this run observes locations. It must stay a real
+// frame: core.ProbeLocationID reads the call site a fixed number of
+// frame pointers up (program -> method -> progLoc -> capture).
+//
+//go:noinline
 func (s *scheduler) progLoc() (core.Location, uint32) {
 	if !s.capLoc {
 		return core.Location{}, 0
 	}
-	return core.CallerLocationID(2)
+	return core.ProbeLocationID()
 }
 
 // drive takes the run's first scheduling decision on the driver

@@ -90,12 +90,12 @@ type Strategy interface {
 }
 
 // LocationAware is an optional Strategy extension. Capturing the
-// source location of every instrumented operation costs a stack walk
-// per probe — the single most expensive part of a listener-free run —
-// so the scheduler skips it when nothing observes locations: any
-// attached listener turns capture on, and a strategy that keys its
-// decisions on Choice.Pending.Loc (the noise heuristics do) must
-// declare it by implementing LocationAware with NeedsLocations() true.
+// source location of every instrumented operation costs a
+// frame-pointer read and a cache lookup per probe, so the scheduler
+// skips it when nothing observes locations: any attached listener
+// turns capture on, and a strategy that keys its decisions on
+// Choice.Pending.Loc (the noise heuristics do) must declare it by
+// implementing LocationAware with NeedsLocations() true.
 // Strategies without the method see zero Locations in listener-free
 // runs; everything else about the Choice is unaffected.
 type LocationAware interface {
@@ -163,7 +163,7 @@ type randomWhenBlocked struct {
 
 // RandomWhenBlocked returns the run-to-block, random-dispatch strategy.
 func RandomWhenBlocked(seed int64) Strategy {
-	return &randomWhenBlocked{rng: rand.New(rand.NewSource(seed))}
+	return &randomWhenBlocked{rng: core.NewRand(seed)}
 }
 
 func (*randomWhenBlocked) Name() string { return "randomdispatch" }
@@ -184,7 +184,7 @@ type random struct {
 // Random returns a seeded uniformly random strategy. Distinct seeds
 // explore distinct interleavings; the same seed reproduces the run.
 func Random(seed int64) Strategy {
-	return &random{rng: rand.New(rand.NewSource(seed))}
+	return &random{rng: core.NewRand(seed)}
 }
 
 func (*random) Name() string { return "random" }
@@ -210,7 +210,7 @@ type priorityRandom struct {
 // PriorityRandom returns a PCT-like strategy with the given number of
 // priority change points scattered over horizon steps.
 func PriorityRandom(seed int64, changePoints int, horizon int64) Strategy {
-	rng := rand.New(rand.NewSource(seed))
+	rng := core.NewRand(seed)
 	changes := make(map[int64]bool, changePoints)
 	if horizon <= 0 {
 		horizon = 10_000

@@ -1,12 +1,17 @@
 package mtbench_test
 
 // Reproducibility lint: every noise maker, random strategy and native
-// runtime must draw randomness from a per-run rand.New(rand.NewSource
-// (seed)) — never from math/rand's process-global source — so that a
-// (program, seed) pair always reproduces the same schedule (the
-// property TestStrategyDeterministicPerSeed pins for one strategy;
-// this test pins the whole module). A call to the global source would
-// make runs depend on whatever else drew from it first.
+// runtime must draw randomness from a per-run core.NewRand(seed) —
+// never from math/rand's process-global source — so that a (program,
+// seed) pair always reproduces the same schedule (the property
+// TestStrategyDeterministicPerSeed pins for one strategy; this test
+// pins the whole module). A call to the global source would make runs
+// depend on whatever else drew from it first.
+//
+// Inside the program proper (internal/ and cmd/), rand.NewSource is
+// flagged too: core.NewRand yields the same stream without the
+// 607-word seeding cost, and internal/core, which implements it, is
+// the one place allowed to build a stock source.
 
 import (
 	"go/ast"
@@ -78,8 +83,12 @@ func TestNoGlobalRandSource(t *testing.T) {
 				return true
 			}
 			if globalRandFuncs[sel.Sel.Name] {
-				t.Errorf("%s: %s.%s uses math/rand's global source; route through a per-run rand.New(rand.NewSource(seed))",
+				t.Errorf("%s: %s.%s uses math/rand's global source; route through a per-run core.NewRand(seed)",
 					fset.Position(call.Pos()), pkg.Name, sel.Sel.Name)
+			}
+			if sel.Sel.Name == "NewSource" && noNewSource(path) {
+				t.Errorf("%s: %s.NewSource seeds a 607-word register per call; use core.NewRand(seed), which yields the same stream",
+					fset.Position(call.Pos()), pkg.Name)
 			}
 			return true
 		})
@@ -88,4 +97,15 @@ func TestNoGlobalRandSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// noNewSource reports whether the rand.NewSource rule covers the file
+// at path (slash-separated, relative to the module root): the
+// program's own packages under internal/ and cmd/, except internal/core.
+func noNewSource(path string) bool {
+	path = filepath.ToSlash(path)
+	if strings.HasPrefix(path, "internal/core/") {
+		return false
+	}
+	return strings.HasPrefix(path, "internal/") || strings.HasPrefix(path, "cmd/")
 }
